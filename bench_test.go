@@ -181,31 +181,16 @@ func BenchmarkFig15BarrierInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkFig15Rollback times one hot-set cycle on Bert's Init Pucket: the
+// request-touch word path heats the hot set, then Pucket.Rollback demotes it.
 func BenchmarkFig15Rollback(b *testing.B) {
-	prof := workload.Bert()
-	space := pagemem.NewSpace(pagemem.DefaultPageSize)
-	lru := mglru.New(space)
-	space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
-	runtimeGen, runtimeRange := lru.InsertBarrier()
-	space.AllocBytes(pagemem.SegInit, prof.InitBytes)
-	initGen, initRange := lru.InsertBarrier()
-	_ = runtimeGen
+	space, lru, p, hot := bertInitPucket()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Promote the hot set, then roll it back.
-		hot := initRange.Start + pagemem.PageID(prof.InitHotBytes/int64(space.PageSize()))
-		for id := initRange.Start; id < hot; id++ {
-			space.SetState(id, pagemem.Hot)
-			lru.Promote(id)
-		}
-		for id := initRange.Start; id < initRange.End; id++ {
-			if space.State(id) == pagemem.Hot {
-				space.SetState(id, pagemem.Inactive)
-				lru.Demote(id, initGen)
-			}
-		}
+		touchSpan(space, lru, hot)
+		p.Rollback(space, lru)
 	}
-	_ = runtimeRange
 }
 
 func BenchmarkFig15Overhead(b *testing.B) {
@@ -382,6 +367,71 @@ func BenchmarkPucketOffloadScan(b *testing.B) {
 		if len(ids) == 0 {
 			b.Fatal("no victims")
 		}
+	}
+}
+
+// bertInitPucket builds Bert's runtime and init segments sealed by the
+// platform's two barriers (so a hot-pool generation is open) and returns the
+// Init Pucket with its per-request hot set.
+func bertInitPucket() (*pagemem.Space, *mglru.LRU, core.Pucket, pagemem.Range) {
+	prof := workload.Bert()
+	space := pagemem.NewSpace(pagemem.DefaultPageSize)
+	lru := mglru.New(space)
+	space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
+	lru.InsertBarrier()
+	space.AllocBytes(pagemem.SegInit, prof.InitBytes)
+	gen, seg := lru.InsertBarrier()
+	hot := pagemem.Range{Start: seg.Start, End: seg.Start + pagemem.PageID(space.PagesOf(prof.InitHotBytes))}
+	return space, lru, core.Pucket{Seg: seg, Gen: gen}, hot
+}
+
+// touchSpan is the request touch path's word loop for a span without remote
+// pages: set the access bits, then move each word's inactive pages to the
+// hot pool and the youngest generation with masked operations.
+func touchSpan(space *pagemem.Space, lru *mglru.LRU, r pagemem.Range) {
+	space.TouchRange(r)
+	w0, w1 := r.Words()
+	for w := w0; w < w1; w++ {
+		if m := space.StateWord(w, pagemem.Inactive) & r.WordMask(w); m != 0 {
+			space.TransitionMasked(w, m, pagemem.Inactive, pagemem.Hot)
+			lru.PromoteMasked(pagemem.PageID(w*64), m)
+		}
+	}
+}
+
+// BenchmarkPucketRollback measures Pucket.Rollback alone: Bert's Init Pucket
+// demotes its hot set (440 MB, heated through the word path with the timer
+// stopped) back to the inactive list and the Pucket's generation.
+func BenchmarkPucketRollback(b *testing.B) {
+	space, lru, p, hot := bertInitPucket()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		touchSpan(space, lru, hot)
+		b.StartTimer()
+		if n := p.Rollback(space, lru); n != hot.Len() {
+			b.Fatalf("rolled back %d pages, want %d", n, hot.Len())
+		}
+	}
+}
+
+// BenchmarkTouchSpans measures the request touch path alone: Bert's hot set,
+// rolled back with the timer stopped, is touched as one span — access bits,
+// masked Inactive→Hot transitions and PromoteMasked per word.
+func BenchmarkTouchSpans(b *testing.B) {
+	space, lru, p, hot := bertInitPucket()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p.Rollback(space, lru)
+		b.StartTimer()
+		touchSpan(space, lru, hot)
+	}
+	b.StopTimer()
+	if n := p.HotPages(space); n != hot.Len() {
+		b.Fatalf("%d hot pages, want %d", n, hot.Len())
 	}
 }
 

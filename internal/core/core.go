@@ -361,6 +361,10 @@ type container struct {
 	semiWarm     bool
 	semiWarmTime time.Duration // accumulated semi-warm duration
 	semiWarmFrom simtime.Time
+	// scanFrom[k] resumes gradual-offload scan k (see gradualOffload): every
+	// page of its range below it is known not to be in the scanned state.
+	// Zero means the start of the range.
+	scanFrom [4]pagemem.PageID
 }
 
 // runtimePucket and initPucket view the container's sealed segments as the
@@ -530,6 +534,7 @@ func (c *container) startSemiWarm(e *simtime.Engine) {
 	c.semiWarm = true
 	c.semiWarmFrom = e.Now()
 	c.parent.stat.SemiWarmEntries++
+	c.resetScan()
 	c.view.Trace().Record(telemetry.Event{
 		At: e.Now(), Kind: telemetry.KindSemiWarmEnter,
 		Actor: c.view.ID(), Fn: c.view.FunctionID(),
@@ -559,14 +564,19 @@ func (c *container) gradualOffload(e *simtime.Engine) {
 	if pages <= 0 {
 		return
 	}
+	// Victims come inactive-first, then hot, runtime before init within
+	// each state; scan k covers (semiWarmStates[k/2], ranges[k%2]) from its
+	// cursor, and ends[k] marks where its victims end in ids.
+	ranges := [2]pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()}
+	var ends [4]int
 	ids := c.idBuf[:0]
-	for _, st := range []pagemem.State{pagemem.Inactive, pagemem.Hot} {
-		for _, r := range []pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
-			if len(ids) >= pages {
-				break
-			}
-			ids = s.CollectInState(ids, r, st, pages)
+	for k := range ends {
+		if len(ids) < pages {
+			r := ranges[k%2]
+			r.Start = max(r.Start, c.scanFrom[k])
+			ids = s.CollectInState(ids, r, semiWarmStates[k/2], pages)
 		}
+		ends[k] = len(ids)
 	}
 	c.idBuf = ids
 	if len(ids) == 0 {
@@ -574,7 +584,45 @@ func (c *container) gradualOffload(e *simtime.Engine) {
 		return
 	}
 	c.view.OffloadPages(e, ids)
+	c.advanceScan(s, ranges, ids, ends, pages)
 }
+
+// semiWarmStates is the order gradual offloading drains local pages in.
+var semiWarmStates = [2]pagemem.State{pagemem.Inactive, pagemem.Hot}
+
+// advanceScan moves each semi-warm scan cursor past the pages this tick
+// proved are no longer in the scanned state: the victims the offload moved
+// and the pages the scan skipped. It stops at the first victim the pool or
+// link left local, so truncated pages are rescanned next tick. This is
+// sound because during one semi-warm period only offloads change runtime
+// and init page state, and they only take pages out of Inactive and Hot
+// (any request ends the period and resets the cursors).
+func (c *container) advanceScan(s *pagemem.Space, ranges [2]pagemem.Range, ids []pagemem.PageID, ends [4]int, pages int) {
+	from := 0
+	for k, to := range ends {
+		st, r := semiWarmStates[k/2], ranges[k%2]
+		victims := ids[from:to]
+		switch {
+		case from >= pages:
+			// Never scanned: the budget was spent before this scan.
+		case to < pages:
+			// The scan ran to the end of its range.
+			c.scanFrom[k] = r.End
+		default:
+			c.scanFrom[k] = victims[len(victims)-1] + 1
+		}
+		for _, id := range victims {
+			if s.State(id) == st {
+				c.scanFrom[k] = id
+				break
+			}
+		}
+		from = to
+	}
+}
+
+// resetScan restarts every semi-warm scan at the start of its range.
+func (c *container) resetScan() { c.scanFrom = [4]pagemem.PageID{} }
 
 func (c *container) stopTicker() {
 	if c.semiWarmTick != nil {
@@ -587,6 +635,7 @@ func (c *container) stopTicker() {
 func (c *container) stopSemiWarm(e *simtime.Engine) {
 	e.Cancel(c.semiWarmEv)
 	c.semiWarmEv = simtime.Handle{}
+	c.resetScan()
 	if c.semiWarm {
 		c.semiWarmTime += e.Now() - c.semiWarmFrom
 		c.semiWarm = false

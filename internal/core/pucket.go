@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
@@ -78,11 +80,22 @@ func (p Pucket) stage(v policy.View) telemetry.Stage {
 
 // Rollback demotes every hot-pool page of this Pucket back to its inactive
 // list (clearing access bits so the next request-window re-evaluates them)
-// and returns the number of pages rolled back. Non-hot pages are skipped
-// word-at-a-time via the Hot-state bitset.
+// and returns the number of pages rolled back. It walks the Hot-state bitset
+// a word at a time: each word's hot pages change state, lose their access
+// bits and return to the Pucket's generation with one masked operation per
+// layer.
 func (p Pucket) Rollback(s *pagemem.Space, lru *mglru.LRU) int {
-	return s.TransitionRange(p.Seg, pagemem.Hot, pagemem.Inactive, func(id pagemem.PageID) {
-		s.ClearAccessed(id)
-		lru.Demote(id, p.Gen)
-	})
+	moved := 0
+	w0, w1 := p.Seg.Words()
+	for w := w0; w < w1; w++ {
+		hot := s.StateWord(w, pagemem.Hot) & p.Seg.WordMask(w)
+		if hot == 0 {
+			continue
+		}
+		s.TransitionMasked(w, hot, pagemem.Hot, pagemem.Inactive)
+		s.ClearAccessedWord(w, hot)
+		lru.DemoteMasked(pagemem.PageID(w*64), hot, p.Gen)
+		moved += bits.OnesCount64(hot)
+	}
+	return moved
 }

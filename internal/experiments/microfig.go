@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
@@ -267,39 +268,21 @@ func Fig15() []Fig15Row {
 
 		space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
 		t0 := time.Now()
-		_, runtimeRange := lru.InsertBarrier()
+		runtimeGen, runtimeRange := lru.InsertBarrier()
 		d1 := time.Since(t0)
 
 		space.AllocBytes(pagemem.SegInit, prof.InitBytes)
 		t1 := time.Now()
-		_, initRange := lru.InsertBarrier()
+		initGen, initRange := lru.InsertBarrier()
 		d2 := time.Since(t1)
 
 		// Populate the hot pool with the per-request hot set, then measure a
-		// full rollback (demote hot pages to their Puckets).
-		hotRuntime := int(prof.RuntimeHotBytes / int64(space.PageSize()))
-		for id := runtimeRange.Start; id < runtimeRange.Start+pagemem.PageID(hotRuntime) && id < runtimeRange.End; id++ {
-			space.SetState(id, pagemem.Hot)
-			lru.Promote(id)
-		}
-		hotInit := int(prof.InitHotBytes / int64(space.PageSize()))
-		for id := initRange.Start; id < initRange.Start+pagemem.PageID(hotInit) && id < initRange.End; id++ {
-			space.SetState(id, pagemem.Hot)
-			lru.Promote(id)
-		}
+		// full rollback of both Puckets — the code a container runs.
+		heatPrefix(space, lru, runtimeRange, prof.RuntimeHotBytes)
+		heatPrefix(space, lru, initRange, prof.InitHotBytes)
 		t2 := time.Now()
-		for id := runtimeRange.Start; id < runtimeRange.End; id++ {
-			if space.State(id) == pagemem.Hot {
-				space.SetState(id, pagemem.Inactive)
-				lru.Demote(id, 0)
-			}
-		}
-		for id := initRange.Start; id < initRange.End; id++ {
-			if space.State(id) == pagemem.Hot {
-				space.SetState(id, pagemem.Inactive)
-				lru.Demote(id, 1)
-			}
-		}
+		core.Pucket{Seg: runtimeRange, Gen: runtimeGen}.Rollback(space, lru)
+		core.Pucket{Seg: initRange, Gen: initGen}.Rollback(space, lru)
 		d3 := time.Since(t2)
 
 		rows = append(rows, Fig15Row{
@@ -310,6 +293,20 @@ func Fig15() []Fig15Row {
 		})
 	}
 	return rows
+}
+
+// heatPrefix moves the first bytes of r into the hot pool through the word
+// path request touches take.
+func heatPrefix(space *pagemem.Space, lru *mglru.LRU, r pagemem.Range, bytes int64) {
+	if end := r.Start + pagemem.PageID(bytes/int64(space.PageSize())); end < r.End {
+		r.End = end
+	}
+	w0, w1 := r.Words()
+	for w := w0; w < w1; w++ {
+		m := space.StateWord(w, pagemem.Inactive) & r.WordMask(w)
+		space.TransitionMasked(w, m, pagemem.Inactive, pagemem.Hot)
+		lru.PromoteMasked(pagemem.PageID(w*64), m)
+	}
 }
 
 // PrintFig15 renders the overhead table.

@@ -72,11 +72,9 @@ type Container struct {
 	loadedAt         simtime.Time // when the runtime finished loading
 	recycleEv        simtime.Handle
 	dead             bool
-	// offCand/offMoved are per-container scratch for OffloadPages victim
-	// selection, reused across calls to keep steady-state offloads
-	// allocation-free.
-	offCand  []pagemem.PageID
-	offMoved []pagemem.PageID
+	// offCand is per-container scratch for OffloadPages victim selection,
+	// reused across calls to keep steady-state offloads allocation-free.
+	offCand []pagemem.PageID
 	// wbCand is scratch for write-break recall page selection.
 	wbCand []pagemem.PageID
 }
@@ -380,16 +378,11 @@ func (c *Container) touchSpans(seg pagemem.Range, spans []workload.Span) (faults
 // walk would.
 func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, window int) (faults, readahead int) {
 	sp := c.space
-	sp.TouchRange(pagemem.Range{Start: start, End: end})
-	w0, w1 := int(start)/64, (int(end)+63)/64
+	r := pagemem.Range{Start: start, End: end}
+	sp.TouchRange(r)
+	w0, w1 := r.Words()
 	for w := w0; w < w1; w++ {
-		mask := ^uint64(0)
-		if base := w * 64; base < int(start) {
-			mask &= ^uint64(0) << (uint(start) % 64)
-		}
-		if int(end) < (w+1)*64 {
-			mask &= ^uint64(0) >> (64 - uint(end)%64)
-		}
+		mask := r.WordMask(w)
 		rem := sp.StateWord(w, pagemem.Remote) & mask
 		inact := sp.StateWord(w, pagemem.Inactive) & mask
 		if rem == 0 {
@@ -813,27 +806,39 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 		c.p.swap.Release(max)
 		return 0
 	}
-	moved := c.offMoved[:0]
+	// Accepted pages flip to Remote in groups: consecutive moved pages that
+	// share a 64-page word and a current state move with one masked
+	// transition.
+	moved := 0
 	rem := accepted
+	var (
+		gw    = -1
+		gmask uint64
+		gfrom pagemem.State
+	)
 	for _, id := range cand {
 		cls := c.classOf(id)
 		if rem[cls] == 0 {
 			continue
 		}
 		rem[cls]--
-		c.space.SetState(id, pagemem.Remote)
-		moved = append(moved, id)
+		if w, st := int(id)/64, c.space.State(id); w != gw || st != gfrom {
+			c.space.TransitionMasked(gw, gmask, gfrom, pagemem.Remote)
+			gw, gmask, gfrom = w, 0, st
+		}
+		gmask |= 1 << (uint(id) % 64)
+		moved++
 	}
-	c.offMoved = moved
-	if len(moved) < max {
+	c.space.TransitionMasked(gw, gmask, gfrom, pagemem.Remote)
+	if moved < max {
 		// Return the slots we claimed but did not fill (state-filtered
 		// candidates plus node-rejected pages).
-		c.p.swap.Release(max - len(moved))
+		c.p.swap.Release(max - moved)
 	}
-	if len(moved) == 0 {
+	if moved == 0 {
 		return 0
 	}
-	bytes := int64(len(moved)) * pageBytes
+	bytes := int64(moved) * pageBytes
 	c.cg.Offload(now, bytes)
 	if c.p.spans.Enabled() {
 		start, done := c.p.pool.LastTransferWindow()
@@ -873,5 +878,5 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 			}, int64(n))
 		}
 	}
-	return len(moved)
+	return moved
 }

@@ -89,9 +89,11 @@ func (p *diffPair) check(t *testing.T, step int) {
 }
 
 // step applies one scripted operation to both trackers. op and the operands
-// come from an arbitrary byte stream so the fuzzer can drive it too.
+// come from an arbitrary byte stream so the fuzzer can drive it too. Growing
+// the op modulus re-decodes every committed FuzzDifferentialOps corpus entry
+// into a different script; they stay valid seeds, just different ones.
 func (p *diffPair) step(op, a, b byte) {
-	switch op % 7 {
+	switch op % 8 {
 	case 0: // allocate a fresh chunk and stamp it
 		p.alloc(pagemem.Segment(int(a)%int(pagemem.NumSegments)), int(b)%97)
 		p.fast.AssignNew()
@@ -119,6 +121,15 @@ func (p *diffPair) step(op, a, b byte) {
 		p.fast.PromoteMasked(base, mask)
 		for rem := mask; rem != 0; rem &= rem - 1 {
 			p.slow.Promote(base + pagemem.PageID(bits.TrailingZeros64(rem)))
+		}
+	case 7: // bulk rollback path: masked word demote vs per-bit ascending
+		words := p.slowSpc.NumPages()/64 + 1
+		base := pagemem.PageID(int(b) % words * 64)
+		mask := uint64(b) | uint64(a)<<16 | uint64(b)<<32 | uint64(a)<<56
+		g := GenID(int(a^b) % p.slow.NumGenerations())
+		p.fast.DemoteMasked(base, mask, g)
+		for rem := mask; rem != 0; rem &= rem - 1 {
+			p.slow.Demote(base+pagemem.PageID(bits.TrailingZeros64(rem)), g)
 		}
 	}
 }
@@ -170,11 +181,60 @@ func TestDifferentialPromoteHeavy(t *testing.T) {
 	p.check(t, 4000)
 }
 
+// TestDemoteMaskedMatchesPerBit demotes whole words whose pages span several
+// base runs (a NoGen run among them) and carry exceptions in several
+// generations, to every target generation in turn, checking the word path
+// against per-bit Reference.Demote after each.
+func TestDemoteMaskedMatchesPerBit(t *testing.T) {
+	build := func() *diffPair {
+		p := newDiffPair()
+		// Runs: gen 0 [0,40), NoGen [40,70), gen 1 [70,150), gen 2 [150,200).
+		p.alloc(pagemem.SegRuntime, 40)
+		p.fast.InsertBarrier()
+		p.slow.InsertBarrier()
+		p.alloc(pagemem.SegExec, 30)
+		p.fast.SkipNew()
+		p.slow.SkipNew()
+		p.alloc(pagemem.SegInit, 80)
+		p.fast.InsertBarrier()
+		p.slow.InsertBarrier()
+		p.alloc(pagemem.SegInit, 50)
+		p.fast.InsertBarrier()
+		p.slow.InsertBarrier()
+		// Exceptions: promote a stripe to the youngest generation (3), then
+		// demote part of it into other generations.
+		for id := pagemem.PageID(0); id < 200; id += 3 {
+			p.fast.Promote(id)
+			p.slow.Promote(id)
+		}
+		for id := pagemem.PageID(0); id < 200; id += 7 {
+			g := GenID(id % 3)
+			p.fast.Demote(id, g)
+			p.slow.Demote(id, g)
+		}
+		return p
+	}
+	for g := GenID(0); g < 4; g++ {
+		p := build()
+		for step, w := range []int{0, 1, 2, 3} { // word 3 lies past the tracked pages
+			base := pagemem.PageID(w * 64)
+			for _, mask := range []uint64{^uint64(0), 0x5555_5555_5555_5555, 0xff00_0000_00ff_f00f} {
+				p.fast.DemoteMasked(base, mask, g)
+				for rem := mask; rem != 0; rem &= rem - 1 {
+					p.slow.Demote(base+pagemem.PageID(bits.TrailingZeros64(rem)), g)
+				}
+				p.check(t, int(g)*10+step)
+			}
+		}
+	}
+}
+
 // FuzzDifferentialOps lets the fuzzer drive arbitrary operation scripts
 // through both implementations; any observable divergence fails.
 func FuzzDifferentialOps(f *testing.F) {
 	f.Add([]byte{0, 1, 40, 2, 0, 0, 3, 0, 5, 5, 0, 3, 2, 0, 0, 6, 0, 9})
 	f.Add([]byte{2, 0, 0, 2, 0, 0, 0, 2, 200, 1, 0, 64, 4, 1, 1, 5, 2, 2})
+	f.Add([]byte{0, 0, 90, 2, 0, 0, 1, 0, 50, 0, 1, 90, 2, 0, 0, 6, 1, 200, 7, 3, 1, 7, 0, 255, 7, 2, 1})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*400 {
 			script = script[:3*400]

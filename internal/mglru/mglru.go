@@ -202,50 +202,9 @@ func (l *LRU) Promote(id pagemem.PageID) {
 // PromoteMasked promotes to the youngest generation every page in the
 // 64-page word starting at base whose mask bit is set. base must be
 // 64-aligned. It is semantically identical to calling Promote for each set
-// bit in ascending order, but exception-free pages of a single run move with
-// word-level bit operations — the fast path behind bulk span touches.
+// bit in ascending order — the fast path behind bulk span touches.
 func (l *LRU) PromoteMasked(base pagemem.PageID, mask uint64) {
-	if mask == 0 || int(base) >= l.tracked {
-		return
-	}
-	if rem := l.tracked - int(base); rem < 64 {
-		mask &= ^uint64(0) >> (64 - uint(rem))
-		if mask == 0 {
-			return
-		}
-	}
-	young := l.Youngest()
-	w := int(base) / 64
-	for mask != 0 {
-		id := base + pagemem.PageID(bits.TrailingZeros64(mask))
-		ri := l.runIndex(id)
-		span := mask
-		if end := l.runEnd(ri); int(end) < int(base)+64 {
-			span &= 1<<uint(int(end)-int(base)) - 1
-		}
-		mask &^= span
-		g := l.runs[ri].gen
-		if g == NoGen {
-			continue
-		}
-		excw := l.excAny.WordAt(w) & span
-		if plain := span &^ excw; plain != 0 && g != young {
-			k := bits.OnesCount64(plain)
-			l.count[g] -= k
-			l.count[young] += k
-			if l.exc[young] == nil {
-				l.exc[young] = &pagemem.Bitset{}
-			}
-			l.exc[young].OrWordAt(w, plain)
-			l.excAny.OrWordAt(w, plain)
-			l.promotions += uint64(k)
-		}
-		for rem := excw; rem != 0; {
-			t := bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			l.moveTo(base+pagemem.PageID(t), young)
-		}
-	}
+	l.moveMasked(base, mask, l.Youngest())
 }
 
 // Demote returns page id to generation g — the rollback path of FaaSMem's
@@ -256,6 +215,96 @@ func (l *LRU) Demote(id pagemem.PageID, g GenID) {
 		panic(fmt.Sprintf("mglru: demote to invalid generation %d", g))
 	}
 	l.moveTo(id, g)
+}
+
+// DemoteMasked returns to generation g every page in the 64-page word
+// starting at base whose mask bit is set — the word form of Demote behind
+// Pucket rollback. base must be 64-aligned. It is semantically identical to
+// calling Demote for each set bit in ascending order, including the
+// promotion/demotion tallies.
+func (l *LRU) DemoteMasked(base pagemem.PageID, mask uint64, g GenID) {
+	if mask == 0 {
+		return
+	}
+	if g < 0 || int(g) >= len(l.count) {
+		panic(fmt.Sprintf("mglru: demote to invalid generation %d", g))
+	}
+	l.moveMasked(base, mask, g)
+}
+
+// moveMasked moves every masked page of the word starting at base to
+// generation g with word operations. Pages move independently, so visiting
+// them run by run and generation by generation changes nothing observable
+// against a per-bit ascending moveTo: each run span's exception-free pages
+// share the run's generation and move by popcount, and each generation's
+// exception bits in the span move as one word.
+func (l *LRU) moveMasked(base pagemem.PageID, mask uint64, g GenID) {
+	if mask == 0 || int(base) >= l.tracked {
+		return
+	}
+	if rem := l.tracked - int(base); rem < 64 {
+		mask &= ^uint64(0) >> (64 - uint(rem))
+	}
+	w := int(base) / 64
+	for mask != 0 {
+		ri := l.runIndex(base + pagemem.PageID(bits.TrailingZeros64(mask)))
+		span := mask
+		if end := l.runEnd(ri); int(end) < int(base)+64 {
+			span &= 1<<uint(int(end)-int(base)) - 1
+		}
+		mask &^= span
+		rg := l.runs[ri].gen
+		if rg == NoGen {
+			// Unmonitored pages stay unmonitored.
+			continue
+		}
+		excw := l.excAny.WordAt(w) & span
+		if plain := span &^ excw; plain != 0 && rg != g {
+			l.tally(rg, g, plain)
+			l.excBits(g).OrWordAt(w, plain)
+			l.excAny.OrWordAt(w, plain)
+		}
+		// Each exception page sits in exactly one exc[h], h != rg.
+		for h := len(l.exc) - 1; h >= 0 && excw != 0; h-- {
+			if l.exc[h] == nil {
+				continue
+			}
+			in := l.exc[h].WordAt(w) & excw
+			excw &^= in
+			if in == 0 || GenID(h) == g {
+				continue
+			}
+			l.tally(GenID(h), g, in)
+			l.exc[h].AndNotWordAt(w, in)
+			if g == rg {
+				// Back to their base run: no exception needed anymore.
+				l.excAny.AndNotWordAt(w, in)
+			} else {
+				l.excBits(g).OrWordAt(w, in)
+			}
+		}
+	}
+}
+
+// tally moves the pages of word from generation old to g in the
+// per-generation counts and the promotion/demotion churn counters.
+func (l *LRU) tally(old, g GenID, word uint64) {
+	k := bits.OnesCount64(word)
+	l.count[old] -= k
+	l.count[g] += k
+	if g > old {
+		l.promotions += uint64(k)
+	} else {
+		l.demotions += uint64(k)
+	}
+}
+
+// excBits returns generation g's exception bitset, creating it on first use.
+func (l *LRU) excBits(g GenID) *pagemem.Bitset {
+	if l.exc[g] == nil {
+		l.exc[g] = &pagemem.Bitset{}
+	}
+	return l.exc[g]
 }
 
 func (l *LRU) moveTo(id pagemem.PageID, g GenID) {
@@ -278,10 +327,7 @@ func (l *LRU) moveTo(id pagemem.PageID, g GenID) {
 		l.exc[old].Clear(int(id))
 	}
 	if g != base {
-		if l.exc[g] == nil {
-			l.exc[g] = &pagemem.Bitset{}
-		}
-		l.exc[g].Set(int(id))
+		l.excBits(g).Set(int(id))
 		l.excAny.Set(int(id))
 	} else {
 		// Back to its base run: no exception needed anymore.

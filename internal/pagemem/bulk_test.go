@@ -85,3 +85,46 @@ func TestBulkRestateMixedSegments(t *testing.T) {
 		}
 	}
 }
+
+// TestTransitionMaskedStraddlingSegments moves masks over words that straddle
+// segment runs — the per-page fallback — and over a single-segment full word
+// (the state-fill path), checking per-segment counts against SetState.
+func TestTransitionMaskedStraddlingSegments(t *testing.T) {
+	a := NewSpace(DefaultPageSize)
+	b := NewSpace(DefaultPageSize)
+	for _, s := range []*Space{a, b} {
+		s.Alloc(SegRuntime, 40) // pages 0..39
+		s.Alloc(SegInit, 100)   // pages 40..139: words 0 and 2 straddle
+		s.Alloc(SegExec, 30)    // pages 140..169
+	}
+	for _, step := range []struct {
+		w        int
+		mask     uint64
+		from, to State
+	}{
+		{0, ^uint64(0), Inactive, Hot},               // runtime | init
+		{1, ^uint64(0), Inactive, Hot},               // init only, full word
+		{2, 0x0000_03ff_f000_ff0f, Inactive, Remote}, // init | exec
+		{0, 0xffff_f000_0000_000f, Hot, Inactive},
+		{2, 0x0000_0300_f000_0000, Remote, Hot},
+	} {
+		a.TransitionMasked(step.w, step.mask, step.from, step.to)
+		for i := 0; i < 64; i++ {
+			if step.mask&(1<<uint(i)) != 0 {
+				b.SetState(PageID(step.w*64+i), step.to)
+			}
+		}
+		for seg := Segment(0); seg < NumSegments; seg++ {
+			for st := Free; st < numStates; st++ {
+				if got, want := a.Count(seg, st), b.Count(seg, st); got != want {
+					t.Fatalf("after %+v: Count(%v, %v) = %d, want %d", step, seg, st, got, want)
+				}
+			}
+		}
+		for id := PageID(0); id < 170; id++ {
+			if got, want := a.State(id), b.State(id); got != want {
+				t.Fatalf("after %+v: State(%d) = %v, want %v", step, id, got, want)
+			}
+		}
+	}
+}

@@ -143,7 +143,7 @@ func (p *spacePair) rangeFrom(a, b byte) Range {
 func (p *spacePair) step(t *testing.T, op, a, b byte) {
 	t.Helper()
 	n := len(p.slow.state)
-	switch op % 8 {
+	switch op % 9 {
 	case 0: // grow
 		seg := Segment(int(a) % int(NumSegments))
 		count := int(b) % 97
@@ -185,7 +185,7 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if from == to {
 			return
 		}
-		got := p.fast.TransitionRange(r, from, to, nil)
+		got := p.fast.TransitionRange(r, from, to)
 		if want := p.slow.transitionRange(r, from, to); got != want {
 			t.Fatalf("TransitionRange(%v, %v->%v) moved %d, want %d", r, from, to, got, want)
 		}
@@ -207,6 +207,36 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		gotLocal := p.fast.CollectLocal(nil, r, max)
 		if want := p.slow.collectLocal(r, max); !reflect.DeepEqual(gotLocal, want) {
 			t.Fatalf("CollectLocal(%v, %d) = %v, want %v", r, max, gotLocal, want)
+		}
+	case 8: // masked word transition (touch, rollback and offload flips)
+		if n == 0 {
+			return
+		}
+		// Allocations of a few dozen pages per segment put segment
+		// boundaries inside words, so this also drives bulkRestate's
+		// per-page fallback; a full pattern drives the state-fill path.
+		w := (int(a)<<8 | int(b)) % n / 64
+		from := State(1 + int(a)%3)
+		to := State(1 + int(b)%3)
+		pattern := ^uint64(0)
+		if a%4 != 0 {
+			pattern = uint64(a)*0x0101_0101_0101_0101 ^ uint64(b)<<17
+		}
+		var want uint64
+		for i := 0; i < 64 && w*64+i < n; i++ {
+			if p.slow.state[w*64+i] == from {
+				want |= 1 << uint(i)
+			}
+		}
+		if got := p.fast.StateWord(w, from); got != want {
+			t.Fatalf("StateWord(%d, %v) = %#x, want %#x", w, from, got, want)
+		}
+		mask := want & pattern
+		p.fast.TransitionMasked(w, mask, from, to)
+		for i := 0; i < 64; i++ {
+			if mask&(1<<uint(i)) != 0 {
+				p.slow.state[w*64+i] = to
+			}
 		}
 	}
 }
@@ -280,6 +310,7 @@ func TestSpaceDifferentialRandomOps(t *testing.T) {
 func FuzzSpaceDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 70, 4, 0, 5, 3, 1, 9, 5, 0, 255, 6, 0, 255, 7, 2, 3})
 	f.Add([]byte{0, 2, 96, 1, 20, 200, 2, 10, 128, 0, 1, 33, 5, 64, 250})
+	f.Add([]byte{0, 0, 40, 0, 1, 50, 0, 0, 70, 8, 0, 10, 8, 5, 0, 8, 4, 90, 8, 1, 250, 7, 1, 255})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*300 {
 			script = script[:3*300]

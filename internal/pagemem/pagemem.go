@@ -90,6 +90,18 @@ type Range struct {
 	Start, End PageID
 }
 
+// Words returns the span [w0, w1) of 64-page word indexes r overlaps.
+func (r Range) Words() (w0, w1 int) {
+	if r.End <= r.Start {
+		return 0, 0
+	}
+	return int(r.Start) / 64, (int(r.End) + 63) / 64
+}
+
+// WordMask returns the bits of word w that fall inside r; w must lie in
+// r.Words().
+func (r Range) WordMask(w int) uint64 { return rangeMask(w, int(r.Start), int(r.End)) }
+
 // Len returns the number of pages in the range.
 func (r Range) Len() int { return int(r.End - r.Start) }
 
@@ -328,12 +340,12 @@ func (s *Space) SetState(id PageID, st State) {
 	s.stateBits[st].Set(int(id))
 }
 
-// TransitionRange moves every page of state `from` inside r to state `to`,
-// calling fn (if non-nil) for each moved page after its state changed. Pages
-// in other states are skipped word-at-a-time, so sweeping a segment for the
-// (usually few) hot pages costs O(words), not O(pages). Returns the number of
-// pages moved.
-func (s *Space) TransitionRange(r Range, from, to State, fn func(PageID)) int {
+// TransitionRange moves every page of state `from` inside r to state `to`
+// and returns the number of pages moved. Pages in other states are skipped
+// word-at-a-time and each word moves with one masked transition, so
+// sweeping a segment for its (usually few) pages of one state costs
+// O(words), not O(pages).
+func (s *Space) TransitionRange(r Range, from, to State) int {
 	if from == Free || to == Free {
 		panic("pagemem: TransitionRange cannot move pages into or out of Free")
 	}
@@ -347,23 +359,8 @@ func (s *Space) TransitionRange(r Range, from, to State, fn func(PageID)) int {
 	moved := 0
 	for w := start / 64; w < (end+63)/64; w++ {
 		word := s.stateBits[from].words[w] & rangeMask(w, start, end)
-		if word == 0 {
-			continue
-		}
-		s.stateBits[from].words[w] &^= word
-		s.stateBits[to].words[w] |= word
+		s.TransitionMasked(w, word, from, to)
 		moved += bits.OnesCount64(word)
-		for rem := word; rem != 0; {
-			id := w*64 + bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			seg := s.seg[id]
-			s.counts[seg][from]--
-			s.counts[seg][to]++
-			s.state[id] = to
-			if fn != nil {
-				fn(PageID(id))
-			}
-		}
 	}
 	return moved
 }
@@ -467,7 +464,9 @@ func (s *Space) StateWord(w int, st State) uint64 { return s.stateBits[st].word(
 // TransitionMasked moves every page in the 64-page word w whose mask bit is
 // set from state `from` to state `to`. Every masked page must currently be in
 // state `from` (callers derive mask from StateWord). Free is not a valid
-// endpoint, mirroring TransitionRange.
+// endpoint, mirroring TransitionRange. A word inside one segment moves by
+// popcount counter updates (and a 64-byte state fill when full); a word
+// straddling a segment boundary falls back to per-page counter updates.
 func (s *Space) TransitionMasked(w int, mask uint64, from, to State) {
 	if mask == 0 {
 		return
@@ -477,14 +476,7 @@ func (s *Space) TransitionMasked(w int, mask uint64, from, to State) {
 	}
 	s.stateBits[from].words[w] &^= mask
 	s.stateBits[to].words[w] |= mask
-	for rem := mask; rem != 0; {
-		id := w*64 + bits.TrailingZeros64(rem)
-		rem &= rem - 1
-		seg := s.seg[id]
-		s.counts[seg][from]--
-		s.counts[seg][to]++
-		s.state[id] = to
-	}
+	s.bulkRestate(w, mask, from, to)
 }
 
 // Accessed reports the access bit of page id without clearing it.
@@ -492,6 +484,10 @@ func (s *Space) Accessed(id PageID) bool { return s.accessed.Get(int(id)) }
 
 // ClearAccessed clears the access bit of page id.
 func (s *Space) ClearAccessed(id PageID) { s.accessed.Clear(int(id)) }
+
+// ClearAccessedWord clears the access bits of the pages in the 64-page word
+// w whose mask bit is set — the word-at-a-time form of ClearAccessed.
+func (s *Space) ClearAccessedWord(w int, mask uint64) { s.accessed.AndNotWordAt(w, mask) }
 
 // ScanAndClear invokes fn for every page in r whose access bit is set, then
 // clears the bit — the moral equivalent of a page-table Accessed-bit scan.
