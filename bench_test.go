@@ -17,9 +17,11 @@ import (
 
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/experiments"
+	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
+	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/sharedmem"
 	"github.com/faasmem/faasmem/internal/simtime"
@@ -344,9 +346,9 @@ func BenchmarkBarrierInsert(b *testing.B) {
 }
 
 // BenchmarkPucketOffloadScan measures the victim scan behind
-// Pucket.OffloadInactive: collecting the inactive list of a mostly-offloaded
-// Bert-sized segment. The Inactive bitset lets the scan skip the offloaded
-// majority word-at-a-time.
+// Pucket.OffloadInactiveBuf: collecting the inactive list of a mostly-offloaded
+// Bert-sized segment as a word-mask list. The Inactive bitset lets the scan
+// skip the offloaded majority word-at-a-time.
 func BenchmarkPucketOffloadScan(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
@@ -359,12 +361,13 @@ func BenchmarkPucketOffloadScan(b *testing.B) {
 			space.SetState(id, pagemem.Remote)
 		}
 	}
-	var ids []pagemem.PageID
+	var victims []pagemem.PageMask
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ids = space.CollectInState(ids[:0], seg, pagemem.Inactive, 0)
-		if len(ids) == 0 {
+		var n int
+		victims, n = space.CollectMasks(victims[:0], seg, pagemem.Inactive, 0)
+		if n == 0 {
 			b.Fatal("no victims")
 		}
 	}
@@ -432,6 +435,115 @@ func BenchmarkTouchSpans(b *testing.B) {
 	b.StopTimer()
 	if n := p.HotPages(space); n != hot.Len() {
 		b.Fatalf("%d hot pages, want %d", n, hot.Len())
+	}
+}
+
+// viewCapture is a no-offload policy that hands a bench the container it
+// attaches to.
+type viewCapture struct{ v policy.View }
+
+func (c *viewCapture) Name() string { return "capture" }
+func (c *viewCapture) Attach(_ *simtime.Engine, v policy.View) policy.ContainerPolicy {
+	c.v = v
+	return policy.Base{}
+}
+
+// BenchmarkOffloadPages measures the platform's offload path alone: a Bert
+// container that served one request offloads the inactive lists of its
+// Runtime and Init Puckets (about 380 MB) through the word-mask victim list
+// and faas.(*Container).OffloadPages — state filter, per-class split and
+// acceptance, one masked transition per word and state. The pool's link is
+// wide enough never to truncate; the offloaded pages return to Inactive with
+// the timer stopped. Gate: 0 allocs/op.
+func BenchmarkOffloadPages(b *testing.B) {
+	e := simtime.NewEngine()
+	capture := &viewCapture{}
+	p := faas.New(e, faas.Config{
+		KeepAliveTimeout: time.Hour,
+		Seed:             1,
+		Pool:             rmem.Config{Bandwidth: 1 << 50, MaxBacklog: time.Hour},
+	}, capture)
+	p.Register("bert", workload.Bert())
+	p.ScheduleInvocations("bert", []simtime.Time{0})
+	e.RunUntil(simtime.Time(time.Minute))
+	v := capture.v
+	s := v.Space()
+	puckets := [2]core.Pucket{
+		{Seg: v.RuntimeRange(), Gen: v.RuntimeGen()},
+		{Seg: v.InitRange(), Gen: v.InitGen()},
+	}
+	want := puckets[0].InactivePages(s) + puckets[1].InactivePages(s)
+	if want == 0 {
+		b.Fatal("no inactive pages to offload")
+	}
+	var buf []pagemem.PageMask
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, pk := range puckets {
+			w0, w1 := pk.Seg.Words()
+			for w := w0; w < w1; w++ {
+				s.TransitionMasked(w, s.StateWord(w, pagemem.Remote)&pk.Seg.WordMask(w), pagemem.Remote, pagemem.Inactive)
+			}
+		}
+		b.StartTimer()
+		moved := 0
+		for _, pk := range puckets {
+			var n int
+			n, buf = pk.OffloadInactiveBuf(e, v, buf)
+			moved += n
+		}
+		if moved != want {
+			b.Fatalf("offloaded %d pages, want %d", moved, want)
+		}
+	}
+}
+
+// BenchmarkFaultBatch measures the described demand-fault path,
+// rmem.(*Pool).FaultBatchOwner with a memory node attached: one request's
+// batch of runtime and init faults releases the owner's node holdings and
+// prices the stall. The holdings are restocked with the timer stopped.
+func BenchmarkFaultBatch(b *testing.B) {
+	const stockRounds = 256
+	pool := rmem.NewPool(rmem.Config{Node: &memnode.Config{DRAMBytes: 1 << 30, SpillBytes: 1 << 30}})
+	var batch, stock rmem.ClassCounts
+	batch[memnode.ClassRuntime], batch[memnode.ClassInit] = 24, 40
+	for cls, n := range batch {
+		stock[cls] = n * stockRounds
+	}
+	now := simtime.Time(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%stockRounds == 0 {
+			b.StopTimer()
+			if _, _, err := pool.OffloadDescribed(now, "c0", "fn", stock, pagemem.DefaultPageSize); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		now += simtime.Time(time.Millisecond)
+		if st := pool.FaultBatchOwner(now, "c0", "fn", batch, pagemem.DefaultPageSize); st.Total <= 0 {
+			b.Fatalf("fault batch stall = %+v", st)
+		}
+	}
+}
+
+// BenchmarkTimeseriesAdd measures the timeline recorder's counter hot path:
+// per-request counter adds across four tenants on an advancing virtual
+// clock, so windows seal and new points are created as in a run.
+func BenchmarkTimeseriesAdd(b *testing.B) {
+	rec := timeseries.NewRecorder(timeseries.Config{})
+	dims := make([]timeseries.Dims, 4)
+	for i := range dims {
+		dims[i] = timeseries.Dims{Node: "n0", Tenant: fmt.Sprintf("fn%d", i)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := simtime.Time(i) * simtime.Time(time.Millisecond)
+		rec.AddCounter(at, timeseries.SeriesRequests, dims[i%len(dims)], 1)
 	}
 }
 

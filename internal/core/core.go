@@ -24,6 +24,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 
@@ -350,9 +351,9 @@ type container struct {
 	rollbackArmed bool
 	reqsSinceRB   int
 
-	// idBuf is the reusable victim-list scratch shared by every offload this
+	// idBuf is the reusable victim mask list shared by every offload this
 	// container issues (single-threaded per engine).
-	idBuf []pagemem.PageID
+	idBuf []pagemem.PageMask
 
 	// Semi-warm.
 	idleStart    simtime.Time
@@ -566,29 +567,36 @@ func (c *container) gradualOffload(e *simtime.Engine) {
 	}
 	// Victims come inactive-first, then hot, runtime before init within
 	// each state; scan k covers (semiWarmStates[k/2], ranges[k%2]) from its
-	// cursor, and ends[k] marks where its victims end in ids.
+	// cursor, and its victims end at entry ends[k].entries of victims, after
+	// ends[k].pages pages.
 	ranges := [2]pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()}
-	var ends [4]int
-	ids := c.idBuf[:0]
+	var ends [4]scanEnd
+	victims, n := c.idBuf[:0], 0
 	for k := range ends {
-		if len(ids) < pages {
+		if n < pages {
 			r := ranges[k%2]
 			r.Start = max(r.Start, c.scanFrom[k])
-			ids = s.CollectInState(ids, r, semiWarmStates[k/2], pages)
+			var got int
+			victims, got = s.CollectMasks(victims, r, semiWarmStates[k/2], pages-n)
+			n += got
 		}
-		ends[k] = len(ids)
+		ends[k] = scanEnd{entries: len(victims), pages: n}
 	}
-	c.idBuf = ids
-	if len(ids) == 0 {
+	c.idBuf = victims
+	if n == 0 {
 		c.stopTicker()
 		return
 	}
-	c.view.OffloadPages(e, ids)
-	c.advanceScan(s, ranges, ids, ends, pages)
+	c.view.OffloadPages(e, victims)
+	c.advanceScan(s, ranges, victims, ends, pages)
 }
 
 // semiWarmStates is the order gradual offloading drains local pages in.
 var semiWarmStates = [2]pagemem.State{pagemem.Inactive, pagemem.Hot}
+
+// scanEnd marks where one semi-warm scan's victims end in the tick's victim
+// list: the entry index and the running page count.
+type scanEnd struct{ entries, pages int }
 
 // advanceScan moves each semi-warm scan cursor past the pages this tick
 // proved are no longer in the scanned state: the victims the offload moved
@@ -597,23 +605,24 @@ var semiWarmStates = [2]pagemem.State{pagemem.Inactive, pagemem.Hot}
 // sound because during one semi-warm period only offloads change runtime
 // and init page state, and they only take pages out of Inactive and Hot
 // (any request ends the period and resets the cursors).
-func (c *container) advanceScan(s *pagemem.Space, ranges [2]pagemem.Range, ids []pagemem.PageID, ends [4]int, pages int) {
-	from := 0
+func (c *container) advanceScan(s *pagemem.Space, ranges [2]pagemem.Range, victims []pagemem.PageMask, ends [4]scanEnd, pages int) {
+	var from scanEnd
 	for k, to := range ends {
 		st, r := semiWarmStates[k/2], ranges[k%2]
-		victims := ids[from:to]
+		scan := victims[from.entries:to.entries]
 		switch {
-		case from >= pages:
+		case from.pages >= pages:
 			// Never scanned: the budget was spent before this scan.
-		case to < pages:
+		case to.pages < pages:
 			// The scan ran to the end of its range.
 			c.scanFrom[k] = r.End
 		default:
-			c.scanFrom[k] = victims[len(victims)-1] + 1
+			last := scan[len(scan)-1]
+			c.scanFrom[k] = last.Base() + pagemem.PageID(64-bits.LeadingZeros64(last.Mask))
 		}
-		for _, id := range victims {
-			if s.State(id) == st {
-				c.scanFrom[k] = id
+		for _, v := range scan {
+			if left := v.Mask & s.StateWord(v.Word, st); left != 0 {
+				c.scanFrom[k] = v.Base() + pagemem.PageID(bits.TrailingZeros64(left))
 				break
 			}
 		}

@@ -37,25 +37,18 @@ func (p Pucket) RemotePages(s *pagemem.Space) int {
 	return s.CountInRange(p.Seg, pagemem.Remote)
 }
 
-// OffloadInactive offloads the whole inactive list through the view and
+// OffloadInactiveBuf offloads the whole inactive list through the view and
 // returns how many pages actually moved (the pool/link may truncate). The
 // victim scan walks the Inactive bitset word-at-a-time, so a fully hot or
-// fully offloaded Pucket costs O(words).
-func (p Pucket) OffloadInactive(e *simtime.Engine, v policy.View) int {
-	n, _ := p.OffloadInactiveBuf(e, v, nil)
-	return n
-}
-
-// OffloadInactiveBuf is OffloadInactive with a caller-owned scratch buffer:
-// the victim list is built in buf (reused, grown as needed) and the grown
-// buffer is returned for the next call, keeping steady-state Pucket offloads
-// allocation-free.
-func (p Pucket) OffloadInactiveBuf(e *simtime.Engine, v policy.View, buf []pagemem.PageID) (int, []pagemem.PageID) {
-	ids := v.Space().CollectInState(buf[:0], p.Seg, pagemem.Inactive, 0)
-	if len(ids) == 0 {
-		return 0, ids
+// fully offloaded Pucket costs O(words). The victim mask list is built in
+// buf (reused, grown as needed) and the grown buffer is returned for the
+// next call, keeping steady-state Pucket offloads allocation-free.
+func (p Pucket) OffloadInactiveBuf(e *simtime.Engine, v policy.View, buf []pagemem.PageMask) (int, []pagemem.PageMask) {
+	victims, n := v.Space().CollectMasks(buf[:0], p.Seg, pagemem.Inactive, 0)
+	if n == 0 {
+		return 0, victims
 	}
-	moved := v.OffloadPages(e, ids)
+	moved := v.OffloadPages(e, victims)
 	if moved > 0 {
 		v.Trace().Record(telemetry.Event{
 			At: e.Now(), Kind: telemetry.KindPucketOffload,
@@ -63,7 +56,7 @@ func (p Pucket) OffloadInactiveBuf(e *simtime.Engine, v policy.View, buf []pagem
 			Value: int64(moved), Aux: int64(p.Gen),
 		})
 	}
-	return moved, ids
+	return moved, victims
 }
 
 // stage names the lifecycle segment this Pucket seals.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,9 +29,10 @@ func (v *offloadView) RuntimeRange() pagemem.Range { return v.runtime }
 func (v *offloadView) InitRange() pagemem.Range    { return v.init }
 func (v *offloadView) OffloadScale() float64       { return 1 }
 
-func (v *offloadView) OffloadPages(_ *simtime.Engine, ids []pagemem.PageID) int {
+func (v *offloadView) OffloadPages(_ *simtime.Engine, victims []pagemem.PageMask) int {
+	ids := expandMasks(victims)
 	call := len(v.calls)
-	v.calls = append(v.calls, append([]pagemem.PageID(nil), ids...))
+	v.calls = append(v.calls, ids)
 	if c := v.batchCap(call); c < len(ids) {
 		ids = ids[:c]
 	}
@@ -47,6 +49,17 @@ func (v *offloadView) OffloadPages(_ *simtime.Engine, ids []pagemem.PageID) int 
 		moved++
 	}
 	return moved
+}
+
+// expandMasks lists the pages of a victim mask list in list order.
+func expandMasks(ms []pagemem.PageMask) []pagemem.PageID {
+	var ids []pagemem.PageID
+	for _, m := range ms {
+		for b := m.Mask; b != 0; b &= b - 1 {
+			ids = append(ids, m.Base()+pagemem.PageID(bits.TrailingZeros64(b)))
+		}
+	}
+	return ids
 }
 
 // newOffloadView builds a runtime+init space with a random mix of inactive,

@@ -74,9 +74,9 @@ type Container struct {
 	dead             bool
 	// offCand is per-container scratch for OffloadPages victim selection,
 	// reused across calls to keep steady-state offloads allocation-free.
-	offCand []pagemem.PageID
+	offCand []pagemem.PageMask
 	// wbCand is scratch for write-break recall page selection.
-	wbCand []pagemem.PageID
+	wbCand []pagemem.PageMask
 }
 
 // launch creates a container; memory arrives as lifecycle stages complete.
@@ -301,9 +301,9 @@ func (c *Container) priceRuntimeWrites(now simtime.Time) rmem.FaultStall {
 		// The node had no room for the private copy: those pages come home.
 		// Flip that many remote runtime pages local (they were just
 		// written, so they land hot) and release their swap slots.
-		c.wbCand = c.space.CollectInState(c.wbCand[:0], c.runtimeRange, pagemem.Remote, out.Recalled)
-		for _, id := range c.wbCand {
-			c.space.SetState(id, pagemem.Hot)
+		c.wbCand, _ = c.space.CollectMasks(c.wbCand[:0], c.runtimeRange, pagemem.Remote, out.Recalled)
+		for _, v := range c.wbCand {
+			c.space.TransitionMasked(v.Word, v.Mask, pagemem.Remote, pagemem.Hot)
 		}
 		c.cg.Recall(now, int64(out.Recalled)*pageBytes)
 		c.p.syncMemGauges()
@@ -369,13 +369,14 @@ func (c *Container) touchSpans(seg pagemem.Range, spans []workload.Span) (faults
 }
 
 // touchRange touches pages [start, end) word-at-a-time. Hot pages only need
-// their access bit, which TouchRange sets in bulk; words holding only
-// Inactive pages transition to Hot with masked word operations; only words
-// containing Remote pages fall back to the per-page fault + readahead walk.
-// The per-page recheck keeps the walk equivalent to the sequential loop:
-// readahead only converts pages at higher IDs, so a fresh state read per
-// word (and per page on the slow path) observes exactly what a sequential
-// walk would.
+// their access bit, which TouchRange sets in bulk. Without readahead every
+// Inactive or Remote page of a word simply becomes Hot (each Remote one a
+// fault), so the word moves with masked operations; only words containing
+// Remote pages under a readahead window fall back to the per-page fault +
+// readahead walk. The per-page recheck keeps the walk equivalent to the
+// sequential loop: readahead only converts pages at higher IDs, so a fresh
+// state read per word (and per page on the slow path) observes exactly what
+// a sequential walk would.
 func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, window int) (faults, readahead int) {
 	sp := c.space
 	r := pagemem.Range{Start: start, End: end}
@@ -385,10 +386,12 @@ func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, win
 		mask := r.WordMask(w)
 		rem := sp.StateWord(w, pagemem.Remote) & mask
 		inact := sp.StateWord(w, pagemem.Inactive) & mask
-		if rem == 0 {
-			if inact != 0 {
-				sp.TransitionMasked(w, inact, pagemem.Inactive, pagemem.Hot)
-				c.lru.PromoteMasked(pagemem.PageID(w*64), inact)
+		if rem == 0 || window == 0 {
+			faults += bits.OnesCount64(rem)
+			sp.TransitionMasked(w, rem, pagemem.Remote, pagemem.Hot)
+			sp.TransitionMasked(w, inact, pagemem.Inactive, pagemem.Hot)
+			if rem|inact != 0 {
+				c.lru.PromoteMasked(pagemem.PageID(w*64), rem|inact)
 			}
 			continue
 		}
@@ -425,8 +428,7 @@ func (c *Container) finishRequest(arrival simtime.Time) {
 	now := e.Now()
 
 	// Exec temporaries are freed immediately on completion (paper §3.3).
-	freed := c.space.BytesOf(c.execRange.Len() - c.space.CountInRange(c.execRange, pagemem.Free))
-	c.space.FreeRange(c.execRange)
+	freed := c.space.BytesOf(c.space.FreeRange(c.execRange))
 	c.cg.Uncharge(now, freed)
 
 	c.requests++
@@ -747,25 +749,47 @@ func (c *Container) greedyDualPriority() float64 {
 // Dead reports whether the container has been recycled.
 func (c *Container) Dead() bool { return c.dead }
 
-// classOf maps a page to its lifecycle class for pool-side description.
-func (c *Container) classOf(id pagemem.PageID) memnode.Class {
-	switch {
-	case c.runtimeRange.Contains(id):
-		return memnode.ClassRuntime
-	case c.initRange.Contains(id):
-		return memnode.ClassInit
-	case c.execRange.Contains(id):
-		return memnode.ClassExec
-	default:
-		return memnode.ClassOther
+// classMasks splits mask m of word w by lifecycle class for pool-side
+// description: the runtime, init and exec ranges' bits, Other for the rest.
+func (c *Container) classMasks(w int, m uint64) (split [memnode.NumClasses]uint64) {
+	split[memnode.ClassRuntime] = m & c.runtimeRange.WordMask(w)
+	split[memnode.ClassInit] = m & c.initRange.WordMask(w)
+	split[memnode.ClassExec] = m & c.execRange.WordMask(w)
+	split[memnode.ClassOther] = m &^ (split[memnode.ClassRuntime] | split[memnode.ClassInit] | split[memnode.ClassExec])
+	return split
+}
+
+// flipAccepted moves the pool-accepted candidates to Remote and returns how
+// many moved. Each class accepts its first accepted[cls] candidates in list
+// order: the lowest remaining bits of the class in each word. A word's
+// accepted pages flip with one masked transition per current state.
+func (c *Container) flipAccepted(cand []pagemem.PageMask, accepted rmem.ClassCounts) int {
+	moved := 0
+	for _, v := range cand {
+		var acc uint64
+		for cls, cm := range c.classMasks(v.Word, v.Mask) {
+			if cm = pagemem.LowBits(cm, accepted[cls]); cm != 0 {
+				accepted[cls] -= bits.OnesCount64(cm)
+				acc |= cm
+			}
+		}
+		inact := acc & c.space.StateWord(v.Word, pagemem.Inactive)
+		c.space.TransitionMasked(v.Word, inact, pagemem.Inactive, pagemem.Remote)
+		c.space.TransitionMasked(v.Word, acc&^inact, pagemem.Hot, pagemem.Remote)
+		moved += bits.OnesCount64(acc)
 	}
+	return moved
 }
 
 // OffloadPages implements policy.View: it moves local pages to the remote
 // pool, clamped to remaining pool capacity, charging the cgroup, node
-// accounting and link bandwidth.
-func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
-	if c.dead || len(ids) == 0 {
+// accounting and link bandwidth. It works a word at a time: state filtering,
+// the batch cap and the per-class split and acceptance are mask operations,
+// and each word's accepted pages move with one masked transition per
+// current state.
+func (c *Container) OffloadPages(e *simtime.Engine, victims []pagemem.PageMask) int {
+	max := pagemem.CountMasks(victims)
+	if c.dead || max == 0 {
 		return 0
 	}
 	now := e.Now()
@@ -774,28 +798,32 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 	// pool capacity and the queued-backlog horizon), and the swap device
 	// must have free slots; truncated pages stay local and later offload
 	// attempts pick them up.
-	max := len(ids)
 	if budget := int(c.p.pool.AcceptableBytes(now) / pageBytes); budget < max {
 		max = budget
 	}
 	max = c.p.swap.Allocate(max)
-	// Select offloadable candidates and describe them by lifecycle class;
-	// the pool (and its memory node, when attached) admits per class.
+	// Select offloadable candidates (the first max local pages in list
+	// order) and describe them by lifecycle class; the pool (and its memory
+	// node, when attached) admits per class.
 	cand := c.offCand[:0]
 	var counts rmem.ClassCounts
-	for _, id := range ids {
-		if len(cand) >= max {
+	n := 0
+	for _, v := range victims {
+		if n >= max {
 			break
 		}
-		st := c.space.State(id)
-		if st != pagemem.Inactive && st != pagemem.Hot {
+		m := pagemem.LowBits(v.Mask&c.space.LocalWord(v.Word), max-n)
+		if m == 0 {
 			continue
 		}
-		cand = append(cand, id)
-		counts[c.classOf(id)]++
+		n += bits.OnesCount64(m)
+		cand = append(cand, pagemem.PageMask{Word: v.Word, Mask: m})
+		for cls, cm := range c.classMasks(v.Word, m) {
+			counts[cls] += bits.OnesCount64(cm)
+		}
 	}
 	c.offCand = cand
-	if len(cand) == 0 {
+	if n == 0 {
 		c.p.swap.Release(max)
 		return 0
 	}
@@ -806,30 +834,7 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 		c.p.swap.Release(max)
 		return 0
 	}
-	// Accepted pages flip to Remote in groups: consecutive moved pages that
-	// share a 64-page word and a current state move with one masked
-	// transition.
-	moved := 0
-	rem := accepted
-	var (
-		gw    = -1
-		gmask uint64
-		gfrom pagemem.State
-	)
-	for _, id := range cand {
-		cls := c.classOf(id)
-		if rem[cls] == 0 {
-			continue
-		}
-		rem[cls]--
-		if w, st := int(id)/64, c.space.State(id); w != gw || st != gfrom {
-			c.space.TransitionMasked(gw, gmask, gfrom, pagemem.Remote)
-			gw, gmask, gfrom = w, 0, st
-		}
-		gmask |= 1 << (uint(id) % 64)
-		moved++
-	}
-	c.space.TransitionMasked(gw, gmask, gfrom, pagemem.Remote)
+	moved := c.flipAccepted(cand, accepted)
 	if moved < max {
 		// Return the slots we claimed but did not fill (state-filtered
 		// candidates plus node-rejected pages).

@@ -285,8 +285,10 @@ type Platform struct {
 	pol    policy.Policy
 	rng    *rand.Rand
 
-	fns     map[string]*Function
-	fnOrder []string
+	fns map[string]*Function
+	// fnList holds the registered functions in registration order, the
+	// order every per-function scan (eviction, aggregation) walks.
+	fnList []*Function
 
 	nodeCG     *cgroup.Group
 	liveTW     *metrics.TimeWeighted
@@ -365,7 +367,7 @@ func (p *Platform) Register(id string, prof *workload.Profile) *Function {
 	}
 	f := &Function{id: id, profile: prof}
 	p.fns[id] = f
-	p.fnOrder = append(p.fnOrder, id)
+	p.fnList = append(p.fnList, f)
 	return f
 }
 
@@ -374,11 +376,7 @@ func (p *Platform) Function(id string) *Function { return p.fns[id] }
 
 // Functions lists registered functions in registration order.
 func (p *Platform) Functions() []*Function {
-	out := make([]*Function, 0, len(p.fnOrder))
-	for _, id := range p.fnOrder {
-		out = append(out, p.fns[id])
-	}
-	return out
+	return append(make([]*Function, 0, len(p.fnList)), p.fnList...)
 }
 
 // Invoke fires one request for the function at the current virtual time.
@@ -562,7 +560,7 @@ func (p *Platform) enforceMemoryLimit(now simtime.Time) {
 	for p.NodeLocalBytes() > limit {
 		var victim *Container
 		var victimScore float64
-		for _, f := range p.Functions() {
+		for _, f := range p.fnList {
 			for _, c := range f.idle {
 				switch p.cfg.Eviction {
 				case EvictGreedyDual:
@@ -645,7 +643,7 @@ func (r *RecoveryStats) Add(other RecoveryStats) {
 // Recovery sums the fault-recovery statistics across every function.
 func (p *Platform) Recovery() RecoveryStats {
 	var r RecoveryStats
-	for _, f := range p.Functions() {
+	for _, f := range p.fnList {
 		st := f.Stats()
 		r.FetchRetries += st.FetchRetries
 		r.FetchTimeouts += st.FetchTimeouts
@@ -661,7 +659,7 @@ func (p *Platform) Recovery() RecoveryStats {
 // Aggregate sums per-function statistics across the node.
 func (p *Platform) Aggregate() AggregateStats {
 	var a AggregateStats
-	for _, f := range p.Functions() {
+	for _, f := range p.fnList {
 		st := f.Stats()
 		a.Requests += st.Requests
 		a.ColdStarts += st.ColdStarts

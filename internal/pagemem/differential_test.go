@@ -1,6 +1,7 @@
 package pagemem
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -27,11 +28,16 @@ func (n *naiveSpace) alloc(seg Segment, count int) {
 	}
 }
 
-func (n *naiveSpace) freeRange(r Range) {
+func (n *naiveSpace) freeRange(r Range) int {
+	freed := 0
 	for id := r.Start; id < r.End; id++ {
+		if n.state[id] != Free {
+			freed++
+		}
 		n.state[id] = Free
 		n.accessed[id] = false
 	}
+	return freed
 }
 
 func (n *naiveSpace) reuseRange(r Range) {
@@ -98,14 +104,36 @@ func (n *naiveSpace) collectInState(r Range, st State, max int) []PageID {
 	return out
 }
 
-func (n *naiveSpace) collectLocal(r Range, max int) []PageID {
+func (n *naiveSpace) collectLocal(r Range) []PageID {
 	var out []PageID
 	for id := r.Start; id < r.End; id++ {
 		if n.state[id] == Inactive || n.state[id] == Hot {
 			out = append(out, id)
-			if max > 0 && len(out) >= max {
-				break
-			}
+		}
+	}
+	return out
+}
+
+// transitionRange moves every page of state from inside r to state to, one
+// masked transition per word, and returns the number of pages moved — the
+// bulk range sweep built from the word primitives.
+func transitionRange(s *Space, r Range, from, to State) int {
+	moved := 0
+	w0, w1 := r.Words()
+	for w := w0; w < w1; w++ {
+		m := s.StateWord(w, from) & r.WordMask(w)
+		s.TransitionMasked(w, m, from, to)
+		moved += bits.OnesCount64(m)
+	}
+	return moved
+}
+
+// expandMasks lists the pages of a mask list in list order.
+func expandMasks(ms []PageMask) []PageID {
+	var out []PageID
+	for _, m := range ms {
+		for b := m.Mask; b != 0; b &= b - 1 {
+			out = append(out, m.Base()+PageID(bits.TrailingZeros64(b)))
 		}
 	}
 	return out
@@ -143,7 +171,7 @@ func (p *spacePair) rangeFrom(a, b byte) Range {
 func (p *spacePair) step(t *testing.T, op, a, b byte) {
 	t.Helper()
 	n := len(p.slow.state)
-	switch op % 9 {
+	switch op % 10 {
 	case 0: // grow
 		seg := Segment(int(a) % int(NumSegments))
 		count := int(b) % 97
@@ -151,8 +179,9 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		p.slow.alloc(seg, count)
 	case 1: // release a range (exec teardown)
 		r := p.rangeFrom(a, b)
-		p.fast.FreeRange(r)
-		p.slow.freeRange(r)
+		if got, want := p.fast.FreeRange(r), p.slow.freeRange(r); got != want {
+			t.Fatalf("FreeRange(%v) freed %d pages, want %d", r, got, want)
+		}
 	case 2: // revive freed slots (exec reuse)
 		r := p.rangeFrom(a, b)
 		p.fast.ReuseRange(r)
@@ -185,9 +214,9 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if from == to {
 			return
 		}
-		got := p.fast.TransitionRange(r, from, to)
+		got := transitionRange(p.fast, r, from, to)
 		if want := p.slow.transitionRange(r, from, to); got != want {
-			t.Fatalf("TransitionRange(%v, %v->%v) moved %d, want %d", r, from, to, got, want)
+			t.Fatalf("transitionRange(%v, %v->%v) moved %d, want %d", r, from, to, got, want)
 		}
 	case 6: // accessed-bit scan (DAMON/TMO sampling)
 		r := p.rangeFrom(a, b)
@@ -199,22 +228,28 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 	case 7: // bounded victim collection
 		r := p.rangeFrom(a, b)
 		st := State(int(a) % int(numStates))
-		max := int(b) % 5
-		got := p.fast.CollectInState(nil, r, st, max)
-		if want := p.slow.collectInState(r, st, max); !reflect.DeepEqual(got, want) {
-			t.Fatalf("CollectInState(%v, %v, %d) = %v, want %v", r, st, max, got, want)
+		// Caps up to two words wide, so truncation lands mid-word in the
+		// first or a later non-empty word.
+		max := int(b) % 5 * (1 + int(a)/8)
+		ms, n := p.fast.CollectMasks(nil, r, st, max)
+		got := expandMasks(ms)
+		if want := p.slow.collectInState(r, st, max); !reflect.DeepEqual(got, want) || n != len(want) {
+			t.Fatalf("CollectMasks(%v, %v, %d) = %v (%d pages), want %v", r, st, max, got, n, want)
 		}
-		gotLocal := p.fast.CollectLocal(nil, r, max)
-		if want := p.slow.collectLocal(r, max); !reflect.DeepEqual(gotLocal, want) {
-			t.Fatalf("CollectLocal(%v, %d) = %v, want %v", r, max, gotLocal, want)
+		for _, m := range ms {
+			if m.Mask == 0 {
+				t.Fatalf("CollectMasks(%v, %v, %d) returned an empty entry: %v", r, st, max, ms)
+			}
+		}
+		if got, want := expandMasks(p.fast.CollectLocalMasks(nil, r)), p.slow.collectLocal(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("CollectLocalMasks(%v) = %v, want %v", r, got, want)
 		}
 	case 8: // masked word transition (touch, rollback and offload flips)
 		if n == 0 {
 			return
 		}
-		// Allocations of a few dozen pages per segment put segment
-		// boundaries inside words, so this also drives bulkRestate's
-		// per-page fallback; a full pattern drives the state-fill path.
+		// Allocations of a few dozen pages per segment put segment run
+		// boundaries inside words, so bulkRestate splits the mask at them.
 		w := (int(a)<<8 | int(b)) % n / 64
 		from := State(1 + int(a)%3)
 		to := State(1 + int(b)%3)
@@ -236,6 +271,27 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		for i := 0; i < 64; i++ {
 			if mask&(1<<uint(i)) != 0 {
 				p.slow.state[w*64+i] = to
+			}
+		}
+	case 9: // word-at-a-time young-bit sample and clear (TMO, rollback)
+		if n == 0 {
+			return
+		}
+		w := (int(a)<<8 | int(b)) % n / 64
+		var want uint64
+		for i := 0; i < 64 && w*64+i < n; i++ {
+			if p.slow.accessed[w*64+i] {
+				want |= 1 << uint(i)
+			}
+		}
+		if got := p.fast.AccessedWord(w); got != want {
+			t.Fatalf("AccessedWord(%d) = %#x, want %#x", w, got, want)
+		}
+		mask := want & (uint64(b)*0x0101_0101_0101_0101 ^ uint64(a)<<29)
+		p.fast.ClearAccessedWord(w, mask)
+		for i := 0; i < 64; i++ {
+			if mask&(1<<uint(i)) != 0 {
+				p.slow.accessed[w*64+i] = false
 			}
 		}
 	}
@@ -264,6 +320,9 @@ func (p *spacePair) check(t *testing.T, step int) {
 	for id := range p.slow.state {
 		if got, want := p.fast.State(PageID(id)), p.slow.state[id]; got != want {
 			t.Fatalf("step %d: State(%d) = %v, want %v", step, id, got, want)
+		}
+		if got, want := p.fast.SegmentOf(PageID(id)), p.slow.seg[id]; got != want {
+			t.Fatalf("step %d: SegmentOf(%d) = %v, want %v", step, id, got, want)
 		}
 		if got, want := p.fast.Accessed(PageID(id)), p.slow.accessed[id]; got != want {
 			t.Fatalf("step %d: Accessed(%d) = %v, want %v", step, id, got, want)
@@ -311,6 +370,15 @@ func FuzzSpaceDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 70, 4, 0, 5, 3, 1, 9, 5, 0, 255, 6, 0, 255, 7, 2, 3})
 	f.Add([]byte{0, 2, 96, 1, 20, 200, 2, 10, 128, 0, 1, 33, 5, 64, 250})
 	f.Add([]byte{0, 0, 40, 0, 1, 50, 0, 0, 70, 8, 0, 10, 8, 5, 0, 8, 4, 90, 8, 1, 250, 7, 1, 255})
+	// CollectMasks truncated mid-word: 3 of word 0's 100 inactive pages,
+	// then (after word 0 turns hot) 20 of word 1's inactive pages, then 2
+	// hot pages of word 0.
+	f.Add([]byte{0, 0, 100, 7, 1, 253, 8, 0, 1, 7, 33, 254, 7, 2, 247})
+	// Truncation across segment runs: runtime, init and exec slivers with
+	// a freed stretch, collected with caps that end inside the second word.
+	f.Add([]byte{0, 0, 30, 0, 1, 45, 0, 2, 60, 1, 100, 140, 7, 65, 252, 7, 97, 254, 7, 121, 251})
+	// Young bits cleared a word at a time, then a range scan of the rest.
+	f.Add([]byte{0, 0, 100, 9, 0, 3, 9, 1, 77, 4, 0, 9, 6, 0, 128})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*300 {
 			script = script[:3*300]

@@ -11,7 +11,6 @@ package pagemem
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -98,9 +97,14 @@ func (r Range) Words() (w0, w1 int) {
 	return int(r.Start) / 64, (int(r.End) + 63) / 64
 }
 
-// WordMask returns the bits of word w that fall inside r; w must lie in
-// r.Words().
-func (r Range) WordMask(w int) uint64 { return rangeMask(w, int(r.Start), int(r.End)) }
+// WordMask returns the bits of word w that fall inside r (zero for a word
+// outside r.Words()).
+func (r Range) WordMask(w int) uint64 {
+	if base := w * 64; base >= int(r.End) || base+64 <= int(r.Start) {
+		return 0
+	}
+	return rangeMask(w, int(r.Start), int(r.End))
+}
 
 // Len returns the number of pages in the range.
 func (r Range) Len() int { return int(r.End - r.Start) }
@@ -112,20 +116,21 @@ func (r Range) Contains(id PageID) bool { return id >= r.Start && id < r.End }
 // value is not usable; construct with NewSpace.
 type Space struct {
 	pageSize int
-	state    []State
-	seg      []Segment
+	// n is the number of page slots ever allocated.
+	n        int
 	accessed Bitset
-	// stateBits[st] marks every page currently in state st, so range scans
-	// (offload victim collection, Pucket occupancy counts) walk words instead
-	// of pages. The state slice stays authoritative for O(1) State lookups;
-	// the bitsets are a maintained index over it.
+	// stateBits[st] marks every page currently in state st. They are the
+	// only record of page state: every allocated page is in exactly one of
+	// them, so State reads at most three words, and range scans (victim
+	// collection, Pucket occupancy counts) walk words instead of pages.
 	stateBits [numStates]Bitset
 	// counts[seg][state] tracks pages per segment and state.
 	counts [NumSegments][numStates]int
-	// segRuns records the contiguous allocation runs sharing a segment (the
-	// seg slice is piecewise constant by construction), so bulk range ops can
-	// prove in O(1) that a whole word shares one segment and update counters
-	// per word instead of per page. lastSegRun caches the most recent hit.
+	// segRuns records the contiguous allocation runs sharing a segment (a
+	// page's segment is piecewise constant by construction). SegmentOf reads
+	// them, and bulk ops split a word at run boundaries to update counters
+	// per run part instead of per page. lastSegRun caches the most recent
+	// hit.
 	segRuns    []segRun
 	lastSegRun int
 }
@@ -137,30 +142,16 @@ type segRun struct {
 	seg   Segment
 }
 
-// uniformSeg reports whether pages [first, last] all belong to one segment,
-// and which.
-func (s *Space) uniformSeg(first, last int) (Segment, bool) {
+// segRunAt returns the index of the segment run holding page id.
+func (s *Space) segRunAt(id int) int {
 	i := s.lastSegRun
-	if i >= len(s.segRuns) || s.segRuns[i].start > first ||
-		(i+1 < len(s.segRuns) && s.segRuns[i+1].start <= first) {
-		i = sort.Search(len(s.segRuns), func(j int) bool { return s.segRuns[j].start > first }) - 1
+	if i >= len(s.segRuns) || s.segRuns[i].start > id ||
+		(i+1 < len(s.segRuns) && s.segRuns[i+1].start <= id) {
+		i = sort.Search(len(s.segRuns), func(j int) bool { return s.segRuns[j].start > id }) - 1
 		s.lastSegRun = i
 	}
-	if i+1 < len(s.segRuns) && s.segRuns[i+1].start <= last {
-		return 0, false
-	}
-	return s.segRuns[i].seg, true
+	return i
 }
-
-// stateFills[st] is a word-sized run of st, for bulk state-slice fills.
-var stateFills = func() (f [numStates][64]State) {
-	for st := range f {
-		for i := range f[st] {
-			f[st][i] = State(st)
-		}
-	}
-	return
-}()
 
 // NewSpace returns an empty address space with the given page size in bytes.
 // pageSize must be positive; use DefaultPageSize unless a test needs tiny
@@ -177,37 +168,45 @@ func (s *Space) PageSize() int { return s.pageSize }
 
 // NumPages returns the total number of page slots ever allocated (including
 // freed exec pages, whose slots are not reused).
-func (s *Space) NumPages() int { return len(s.state) }
+func (s *Space) NumPages() int { return s.n }
+
+// check panics unless id is an allocated page slot. The state bitsets are
+// word-granular, so without it an id past NumPages inside the last word
+// would quietly read as Free.
+func (s *Space) check(id PageID) {
+	if uint(id) >= uint(s.n) {
+		s.outOfRange(id)
+	}
+}
+
+func (s *Space) outOfRange(id PageID) {
+	panic(fmt.Sprintf("pagemem: page %d out of range [0, %d)", id, s.n))
+}
 
 // Alloc appends n pages of the given segment in the Inactive state and
 // returns their range. Newly allocated pages carry a set access bit: the
 // allocation itself wrote them, exactly as a faulted-in page is young in the
-// kernel.
+// kernel. It costs O(words): only bitsets and counters grow.
 func (s *Space) Alloc(seg Segment, n int) Range {
 	if n < 0 {
 		panic("pagemem: negative allocation")
 	}
-	start := PageID(len(s.state))
-	total := len(s.state) + n
+	start := s.n
+	total := start + n
 	if k := len(s.segRuns); n > 0 && (k == 0 || s.segRuns[k-1].seg != seg) {
-		s.segRuns = append(s.segRuns, segRun{start: int(start), seg: seg})
+		s.segRuns = append(s.segRuns, segRun{start: start, seg: seg})
 	}
-	s.state = slices.Grow(s.state, n)[:total]
-	s.seg = slices.Grow(s.seg, n)[:total]
-	for i := int(start); i < total; i++ {
-		s.state[i] = Inactive
-		s.seg[i] = seg
-	}
-	// Pre-grow every bitset to the new page count so hot-path Set/Clear
-	// calls never hit the grow check's slow path.
+	s.n = total
+	// Pre-grow every bitset to the new page count so word reads and
+	// hot-path Set/Clear calls never hit the grow check's slow path.
 	s.accessed.Grow(total)
 	for st := range s.stateBits {
 		s.stateBits[st].Grow(total)
 	}
-	s.accessed.SetRange(int(start), total)
-	s.stateBits[Inactive].SetRange(int(start), total)
+	s.accessed.SetRange(start, total)
+	s.stateBits[Inactive].SetRange(start, total)
 	s.counts[seg][Inactive] += n
-	return Range{Start: start, End: start + PageID(n)}
+	return Range{Start: PageID(start), End: PageID(total)}
 }
 
 // AllocBytes allocates enough pages to hold the given byte count, rounding
@@ -224,8 +223,8 @@ func (s *Space) AllocBytes(seg Segment, bytes int64) Range {
 // whether anything remains.
 func (s *Space) clampRange(r Range) (start, end int, ok bool) {
 	start, end = int(r.Start), int(r.End)
-	if end > len(s.state) {
-		end = len(s.state)
+	if end > s.n {
+		end = s.n
 	}
 	return start, end, end > start
 }
@@ -242,14 +241,16 @@ func rangeMask(w, start, end int) uint64 {
 	return m
 }
 
-// FreeRange releases every non-free page in r. Used when exec-segment
-// temporaries are reclaimed at request completion. Already-free pages are
-// skipped word-at-a-time, so re-freeing a mostly-free range is cheap.
-func (s *Space) FreeRange(r Range) {
+// FreeRange releases every non-free page in r and returns how many it
+// released. Used when exec-segment temporaries are reclaimed at request
+// completion. Already-free pages are skipped word-at-a-time, so re-freeing a
+// mostly-free range is cheap.
+func (s *Space) FreeRange(r Range) int {
 	start, end, ok := s.clampRange(r)
 	if !ok {
-		return
+		return 0
 	}
+	freed := 0
 	for w := start / 64; w < (end+63)/64; w++ {
 		mask := rangeMask(w, start, end)
 		for st := Inactive; st < numStates; st++ {
@@ -260,39 +261,30 @@ func (s *Space) FreeRange(r Range) {
 			s.stateBits[st].words[w] &^= word
 			s.stateBits[Free].words[w] |= word
 			s.bulkRestate(w, word, st, Free)
+			freed += bits.OnesCount64(word)
 		}
 		s.accessed.words[w] &^= mask
 	}
+	return freed
 }
 
-// bulkRestate moves the pages of word (a bitmask within word index w) from
-// state st to state to, updating the state slice and segment counters. When
-// the whole word sits in one segment the counters move by popcount and a
-// full word's state bytes fill by copy; otherwise it falls back to per-page
-// updates.
+// bulkRestate moves the segment counters of the pages of word (a bitmask
+// within word index w) from state st to state to; the caller has already
+// moved their state bits. The word splits at segment-run boundaries and each
+// part moves by popcount, so a word inside one segment costs one step.
 func (s *Space) bulkRestate(w int, word uint64, st, to State) {
 	base := w * 64
-	first := base + bits.TrailingZeros64(word)
-	last := base + 63 - bits.LeadingZeros64(word)
-	if seg, ok := s.uniformSeg(first, last); ok {
-		k := bits.OnesCount64(word)
+	for word != 0 {
+		i := s.segRunAt(base + bits.TrailingZeros64(word))
+		part := word
+		if i+1 < len(s.segRuns) && s.segRuns[i+1].start-base < 64 {
+			part &= ^uint64(0) >> (64 - uint(s.segRuns[i+1].start-base))
+		}
+		k := bits.OnesCount64(part)
+		seg := s.segRuns[i].seg
 		s.counts[seg][st] -= k
 		s.counts[seg][to] += k
-		if word == ^uint64(0) {
-			copy(s.state[base:base+64], stateFills[to][:])
-			return
-		}
-		for ; word != 0; word &= word - 1 {
-			s.state[base+bits.TrailingZeros64(word)] = to
-		}
-		return
-	}
-	for ; word != 0; word &= word - 1 {
-		id := base + bits.TrailingZeros64(word)
-		seg := s.seg[id]
-		s.counts[seg][st]--
-		s.counts[seg][to]++
-		s.state[id] = to
+		word &^= part
 	}
 }
 
@@ -316,136 +308,135 @@ func (s *Space) ReuseRange(r Range) {
 	}
 }
 
-// State returns the state of page id.
-func (s *Space) State(id PageID) State { return s.state[id] }
+// State returns the state of page id, read from the state bitsets. It panics
+// for an id outside [0, NumPages()).
+func (s *Space) State(id PageID) State {
+	s.check(id)
+	w, bit := int(id)/64, uint64(1)<<(uint(id)%64)
+	for st := Inactive; st < numStates; st++ {
+		if s.stateBits[st].words[w]&bit != 0 {
+			return st
+		}
+	}
+	return Free
+}
 
-// SegmentOf returns the lifecycle segment page id was allocated in.
-func (s *Space) SegmentOf(id PageID) Segment { return s.seg[id] }
+// SegmentOf returns the lifecycle segment page id was allocated in. It
+// panics for an id outside [0, NumPages()).
+func (s *Space) SegmentOf(id PageID) Segment {
+	s.check(id)
+	return s.segRuns[s.segRunAt(int(id))].seg
+}
 
 // SetState transitions page id to st, keeping the aggregate counters
 // consistent. Transitioning a Free page is a programming error.
 func (s *Space) SetState(id PageID, st State) {
-	old := s.state[id]
+	old := s.State(id)
 	if old == st {
 		return
 	}
 	if old == Free {
 		panic(fmt.Sprintf("pagemem: page %d is free; Alloc before SetState", id))
 	}
-	seg := s.seg[id]
+	seg := s.SegmentOf(id)
 	s.counts[seg][old]--
 	s.counts[seg][st]++
-	s.state[id] = st
-	s.stateBits[old].Clear(int(id))
-	s.stateBits[st].Set(int(id))
+	w, bit := int(id)/64, uint64(1)<<(uint(id)%64)
+	s.stateBits[old].words[w] &^= bit
+	s.stateBits[st].words[w] |= bit
 }
 
-// TransitionRange moves every page of state `from` inside r to state `to`
-// and returns the number of pages moved. Pages in other states are skipped
-// word-at-a-time and each word moves with one masked transition, so
-// sweeping a segment for its (usually few) pages of one state costs
-// O(words), not O(pages).
-func (s *Space) TransitionRange(r Range, from, to State) int {
-	if from == Free || to == Free {
-		panic("pagemem: TransitionRange cannot move pages into or out of Free")
+// PageMask is a set of pages inside one 64-page word: page Word*64+i belongs
+// to it when bit i of Mask is set. Offload victims travel between layers as
+// a []PageMask (16 bytes per word instead of 4 per page); the pages it names
+// are the entries' pages in list order, ascending within an entry. A list
+// built page by page starts a new entry whenever the next page does not lie
+// above the last entry's highest page in the same word, so it always
+// expands to exactly the page sequence that built it.
+type PageMask struct {
+	Word int
+	Mask uint64
+}
+
+// Base returns the first page of the entry's word.
+func (m PageMask) Base() PageID { return PageID(m.Word * 64) }
+
+// CountMasks returns the number of pages in a mask list.
+func CountMasks(ms []PageMask) int {
+	n := 0
+	for _, m := range ms {
+		n += bits.OnesCount64(m.Mask)
 	}
-	if from == to {
+	return n
+}
+
+// LowBits returns the n lowest set bits of x (all of x when it has no more
+// than n): the first n pages of a mask in list order.
+func LowBits(x uint64, n int) uint64 {
+	if n <= 0 {
 		return 0
 	}
+	if bits.OnesCount64(x) <= n {
+		return x
+	}
+	rest := x
+	for ; n > 0; n-- {
+		rest &= rest - 1
+	}
+	return x &^ rest
+}
+
+// CollectMasks appends the pages of state st inside r to dst, one entry per
+// non-empty word in ascending order, and returns the list with the number of
+// pages appended. max > 0 caps the pages appended, keeping the lowest bits
+// of the last word. It is the word-at-a-time victim scan behind offload
+// collection.
+func (s *Space) CollectMasks(dst []PageMask, r Range, st State, max int) ([]PageMask, int) {
 	start, end, ok := s.clampRange(r)
 	if !ok {
-		return 0
+		return dst, 0
 	}
-	moved := 0
+	n := 0
+	words := s.stateBits[st].words
 	for w := start / 64; w < (end+63)/64; w++ {
-		word := s.stateBits[from].words[w] & rangeMask(w, start, end)
-		s.TransitionMasked(w, word, from, to)
-		moved += bits.OnesCount64(word)
+		m := words[w] & rangeMask(w, start, end)
+		if m == 0 {
+			continue
+		}
+		if max > 0 {
+			m = LowBits(m, max-n)
+		}
+		dst = append(dst, PageMask{Word: w, Mask: m})
+		if n += bits.OnesCount64(m); max > 0 && n >= max {
+			break
+		}
 	}
-	return moved
+	return dst, n
 }
 
-// ForEachInState calls fn for every page of state st inside r, in page order,
-// skipping zero words whole.
-func (s *Space) ForEachInState(r Range, st State, fn func(PageID)) {
-	s.stateBits[st].ForEachSet(int(r.Start), int(r.End), func(i int) { fn(PageID(i)) })
-}
-
-// forEachUnion walks the set bits of a|b in [start, end) in ascending order,
-// skipping all-zero words, until fn returns false. b may be nil for a
-// single-set walk.
-func (s *Space) forEachUnion(a, b *Bitset, start, end int, fn func(int) bool) {
-	if mx := len(s.state); end > mx {
-		end = mx
-	}
-	for i := start; i < end; {
-		w := i / 64
-		lo := uint(i) % 64
-		hi := uint(64)
-		if end-(w*64) < 64 {
-			hi = uint(end - w*64)
-		}
-		word := a.word(w)
-		if b != nil {
-			word |= b.word(w)
-		}
-		word &= (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
-		for word != 0 {
-			tz := bits.TrailingZeros64(word)
-			if !fn(w*64 + tz) {
-				return
-			}
-			word &^= 1 << uint(tz)
-		}
-		i = (w + 1) * 64
-	}
-}
-
-// CollectInState appends up to max pages of state st inside r (0 = no limit)
-// to dst and returns it — the word-at-a-time victim scan behind offload
-// collection.
-func (s *Space) CollectInState(dst []PageID, r Range, st State, max int) []PageID {
+// CollectLocalMasks appends every locally resident (Inactive or Hot) page
+// inside r to dst, one entry per non-empty word in ascending order: the
+// victims of a pageout that evicts a whole range.
+func (s *Space) CollectLocalMasks(dst []PageMask, r Range) []PageMask {
 	start, end, ok := s.clampRange(r)
 	if !ok {
 		return dst
 	}
 	for w := start / 64; w < (end+63)/64; w++ {
-		word := s.stateBits[st].words[w] & rangeMask(w, start, end)
-		for word != 0 {
-			dst = append(dst, PageID(w*64+bits.TrailingZeros64(word)))
-			word &= word - 1
-			if max > 0 && len(dst) >= max {
-				return dst
-			}
+		if m := s.LocalWord(w) & rangeMask(w, start, end); m != 0 {
+			dst = append(dst, PageMask{Word: w, Mask: m})
 		}
 	}
 	return dst
 }
 
-// ForEachLocal calls fn for every locally resident page (Inactive or Hot)
-// inside r in page order, stopping early when fn returns false — the union
-// scan the TMO/DAMON-style policies use to pick eviction victims, where
-// visit order across the two states must match a per-page walk.
-func (s *Space) ForEachLocal(r Range, fn func(PageID) bool) {
-	s.forEachUnion(&s.stateBits[Inactive], &s.stateBits[Hot], int(r.Start), int(r.End),
-		func(i int) bool { return fn(PageID(i)) })
-}
-
-// CollectLocal appends up to max locally resident pages inside r to dst in
-// page order.
-func (s *Space) CollectLocal(dst []PageID, r Range, max int) []PageID {
-	s.ForEachLocal(r, func(id PageID) bool {
-		dst = append(dst, id)
-		return max <= 0 || len(dst) < max
-	})
-	return dst
-}
-
 // Touch sets the access bit of page id and returns its current state so the
-// caller can decide whether a promotion or a remote fault is needed.
+// caller can decide whether a promotion or a remote fault is needed. It
+// panics for an id outside [0, NumPages()).
 func (s *Space) Touch(id PageID) State {
-	s.accessed.Set(int(id))
-	return s.state[id]
+	s.check(id)
+	s.accessed.words[int(id)/64] |= 1 << (uint(id) % 64)
+	return s.State(id)
 }
 
 // TouchRange sets the access bits of every page in r in bulk — the fast path
@@ -461,12 +452,16 @@ func (s *Space) TouchRange(r Range) {
 // request touch path) move whole words of pages without per-page calls.
 func (s *Space) StateWord(w int, st State) uint64 { return s.stateBits[st].word(w) }
 
+// LocalWord returns the 64-page mask of locally resident (Inactive or Hot)
+// pages in word w — the pages an offload may take.
+func (s *Space) LocalWord(w int) uint64 {
+	return s.stateBits[Inactive].word(w) | s.stateBits[Hot].word(w)
+}
+
 // TransitionMasked moves every page in the 64-page word w whose mask bit is
 // set from state `from` to state `to`. Every masked page must currently be in
 // state `from` (callers derive mask from StateWord). Free is not a valid
-// endpoint, mirroring TransitionRange. A word inside one segment moves by
-// popcount counter updates (and a 64-byte state fill when full); a word
-// straddling a segment boundary falls back to per-page counter updates.
+// endpoint. Counters move by popcount per segment run the word overlaps.
 func (s *Space) TransitionMasked(w int, mask uint64, from, to State) {
 	if mask == 0 {
 		return
@@ -484,6 +479,9 @@ func (s *Space) Accessed(id PageID) bool { return s.accessed.Get(int(id)) }
 
 // ClearAccessed clears the access bit of page id.
 func (s *Space) ClearAccessed(id PageID) { s.accessed.Clear(int(id)) }
+
+// AccessedWord returns the access bits of pages [w*64, w*64+64).
+func (s *Space) AccessedWord(w int) uint64 { return s.accessed.word(w) }
 
 // ClearAccessedWord clears the access bits of the pages in the 64-page word
 // w whose mask bit is set — the word-at-a-time form of ClearAccessed.

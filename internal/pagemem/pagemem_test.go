@@ -108,6 +108,36 @@ func TestSetStateOnFreePagePanics(t *testing.T) {
 	s.SetState(r.Start, Hot)
 }
 
+// TestPageAccessOutOfRangePanics checks the explicit bounds check on the
+// per-page accessors: an id past NumPages must panic even when it falls in
+// the last, partly allocated bitset word, where a plain bit read would say
+// Free.
+func TestPageAccessOutOfRangePanics(t *testing.T) {
+	s := NewSpace(DefaultPageSize)
+	s.Alloc(SegRuntime, 10)
+	ops := map[string]func(PageID){
+		"State":     func(id PageID) { s.State(id) },
+		"SegmentOf": func(id PageID) { s.SegmentOf(id) },
+		"SetState":  func(id PageID) { s.SetState(id, Hot) },
+		"Touch":     func(id PageID) { s.Touch(id) },
+	}
+	for name, op := range ops {
+		for _, id := range []PageID{10, 63, 64, 1000, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) with NumPages 10 did not panic", name, id)
+					}
+				}()
+				op(id)
+			}()
+		}
+	}
+	if got := s.CountAccessed(Range{Start: 0, End: 64}); got != 10 {
+		t.Fatalf("accessed pages after the rejected calls = %d, want 10", got)
+	}
+}
+
 func TestFreeRange(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	r := s.Alloc(SegExec, 8)
@@ -238,6 +268,27 @@ func TestRangeHelpers(t *testing.T) {
 	}
 	if r.Contains(9) || r.Contains(20) {
 		t.Error("Contains should exclude outside pages")
+	}
+	// WordMask is zero for words outside the range, so class masks of
+	// ranges that do not reach a word (or are empty) drop out.
+	for _, tc := range []struct {
+		r    Range
+		w    int
+		want uint64
+	}{
+		{Range{Start: 70, End: 200}, 0, 0},
+		{Range{Start: 70, End: 200}, 1, ^uint64(0) &^ (1<<6 - 1)},
+		{Range{Start: 70, End: 200}, 2, ^uint64(0)},
+		{Range{Start: 70, End: 200}, 3, 1<<8 - 1},
+		{Range{Start: 70, End: 200}, 4, 0},
+		{Range{Start: 64, End: 128}, 0, 0},
+		{Range{Start: 64, End: 128}, 2, 0},
+		{Range{Start: 100, End: 100}, 1, 0},
+		{Range{}, 0, 0},
+	} {
+		if got := tc.r.WordMask(tc.w); got != tc.want {
+			t.Errorf("%+v.WordMask(%d) = %#x, want %#x", tc.r, tc.w, got, tc.want)
+		}
 	}
 }
 

@@ -185,7 +185,7 @@ func (c *damonContainer) sample(e *simtime.Engine) {
 // damon_split_regions adaptation step).
 func (c *damonContainer) aggregate(e *simtime.Engine) {
 	s := c.view.Space()
-	var victims []pagemem.PageID
+	var victims []pagemem.PageMask
 	for i := range c.regions {
 		r := &c.regions[i]
 		if r.nrAccesses == 0 {
@@ -195,7 +195,7 @@ func (c *damonContainer) aggregate(e *simtime.Engine) {
 		}
 		if r.age >= c.cfg.AggregationsCold {
 			// DAMOS pageout: evict every local page of the region.
-			victims = s.CollectLocal(victims, pagemem.Range{Start: r.start, End: r.end}, 0)
+			victims = s.CollectLocalMasks(victims, pagemem.Range{Start: r.start, End: r.end})
 			r.age = 0 // paged out; restart aging
 		}
 		r.nrAccesses = 0

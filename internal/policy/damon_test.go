@@ -5,6 +5,7 @@ package policy
 // policy_test.go through the full platform.
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -50,15 +51,18 @@ func (v *fakeView) StallFraction() float64      { return 0 }
 func (v *fakeView) OffloadScale() float64       { return 1 }
 func (v *fakeView) Trace() *telemetry.Tracer    { return nil }
 func (v *fakeView) Spans() *span.Recorder       { return nil }
-func (v *fakeView) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
-	for _, id := range ids {
-		st := v.space.State(id)
-		if st == pagemem.Inactive || st == pagemem.Hot {
-			v.space.SetState(id, pagemem.Remote)
-			v.offloaded = append(v.offloaded, id)
+func (v *fakeView) OffloadPages(e *simtime.Engine, victims []pagemem.PageMask) int {
+	for _, m := range victims {
+		for b := m.Mask; b != 0; b &= b - 1 {
+			id := m.Base() + pagemem.PageID(bits.TrailingZeros64(b))
+			st := v.space.State(id)
+			if st == pagemem.Inactive || st == pagemem.Hot {
+				v.space.SetState(id, pagemem.Remote)
+				v.offloaded = append(v.offloaded, id)
+			}
 		}
 	}
-	return len(ids)
+	return pagemem.CountMasks(victims)
 }
 
 var _ View = (*fakeView)(nil)

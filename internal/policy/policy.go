@@ -51,11 +51,13 @@ type View interface {
 	// StallFraction estimates the recent share of request time spent waiting
 	// on remote-memory faults — the simulation's stand-in for TMO's PSI.
 	StallFraction() float64
-	// OffloadPages moves the given local (inactive or hot) pages to the
-	// remote pool, charging cgroup accounting and link bandwidth. It returns
-	// how many pages were actually offloaded; fewer than requested means the
-	// pool filled up.
-	OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int
+	// OffloadPages moves the local (inactive or hot) pages of a victim mask
+	// list to the remote pool, charging cgroup accounting and link
+	// bandwidth; pages in other states are skipped. It returns how many
+	// pages were actually offloaded; fewer than requested means the pool or
+	// link truncated the batch, and the truncated pages are the last ones in
+	// list order.
+	OffloadPages(e *simtime.Engine, victims []pagemem.PageMask) int
 	// OffloadScale returns the platform bandwidth governor's current factor
 	// in (0, 1]: gradual offloaders multiply their per-tick budget by it so
 	// that aggregate offload traffic stays within the link budget (§6.2).
@@ -134,13 +136,6 @@ func (Base) Idle(*simtime.Engine) {}
 
 // Recycle implements ContainerPolicy.
 func (Base) Recycle(*simtime.Engine) {}
-
-// CollectPages gathers up to max page IDs in r whose state matches st.
-// max <= 0 means no limit. The scan walks the space's per-state bitset
-// word-at-a-time rather than checking every page.
-func CollectPages(s *pagemem.Space, r pagemem.Range, st pagemem.State, max int) []pagemem.PageID {
-	return s.CollectInState(nil, r, st, max)
-}
 
 // NoOffload is the paper's baseline: FaaSMem's platform with memory
 // offloading disabled.

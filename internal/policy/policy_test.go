@@ -166,13 +166,13 @@ func TestCollectPages(t *testing.T) {
 	s.SetState(r.Start+2, pagemem.Hot)
 	s.SetState(r.Start+3, pagemem.Hot)
 	s.SetState(r.Start+4, pagemem.Remote)
-	inactive := policy.CollectPages(s, r, pagemem.Inactive, 0)
-	if len(inactive) != 7 {
-		t.Fatalf("inactive = %d, want 7", len(inactive))
+	inactive, n := s.CollectMasks(nil, r, pagemem.Inactive, 0)
+	if n != 7 || pagemem.CountMasks(inactive) != 7 {
+		t.Fatalf("inactive = %d pages (%v), want 7", n, inactive)
 	}
-	hot := policy.CollectPages(s, r, pagemem.Hot, 1)
-	if len(hot) != 1 || hot[0] != r.Start+2 {
-		t.Fatalf("hot with max=1 = %v", hot)
+	hot, n := s.CollectMasks(nil, r, pagemem.Hot, 1)
+	if want := (pagemem.PageMask{Word: 0, Mask: 1 << (r.Start + 2)}); n != 1 || len(hot) != 1 || hot[0] != want {
+		t.Fatalf("hot with max=1 = %v (%d pages), want [%v]", hot, n, want)
 	}
 }
 

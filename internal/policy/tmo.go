@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math/bits"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/pagemem"
@@ -79,23 +80,30 @@ func (c *tmoContainer) step(e *simtime.Engine) {
 		return
 	}
 	c.carry -= int64(budget) * pageBytes
-	var victims []pagemem.PageID
-	for _, r := range []pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
-		s.ForEachLocal(r, func(id pagemem.PageID) bool {
-			if s.Accessed(id) {
-				// Touched since the last step: young, leave it and clear the
-				// bit so the next step can re-evaluate.
-				s.ClearAccessed(id)
-				return true
+	var victims []pagemem.PageMask
+	n := 0
+	for _, r := range [2]pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
+		w0, w1 := r.Words()
+		for w := w0; w < w1 && n < budget; w++ {
+			local := s.LocalWord(w) & r.WordMask(w)
+			// Pages touched since the last step are young: leave them and
+			// clear their bits so the next step can re-evaluate. The rest
+			// are victims, in page order until the budget is spent; pages
+			// past the last victim are not visited this step.
+			young := local & s.AccessedWord(w)
+			cold := local &^ young
+			if k := bits.OnesCount64(cold); n+k >= budget {
+				cold = pagemem.LowBits(cold, budget-n)
+				young &= 1<<uint(63-bits.LeadingZeros64(cold)) - 1
 			}
-			victims = append(victims, id)
-			return len(victims) < budget
-		})
-		if len(victims) >= budget {
-			break
+			s.ClearAccessedWord(w, young)
+			if cold != 0 {
+				victims = append(victims, pagemem.PageMask{Word: w, Mask: cold})
+				n += bits.OnesCount64(cold)
+			}
 		}
 	}
-	if len(victims) > 0 {
+	if n > 0 {
 		c.view.OffloadPages(e, victims)
 	}
 }
